@@ -61,12 +61,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     writeln!(
         w,
-        "Determinism gate: the numbers below are pinned byte-for-byte by\n\
-         `tests/golden_identity.rs` at every `--jobs` level (quick scale). The\n\
-         PR-6 engine rewrite reproduced the prior engine exactly; its busy-wait\n\
-         fence fix was the one intentional perturbation (sub-0.01% latency-mean\n\
-         shifts on two cells), after which this file and the golden were\n\
-         regenerated together.\n"
+        "Staleness gate: `ci.sh` regenerates this file at `--quick` scale and\n\
+         fails on any byte difference (`git diff --exit-code EXPERIMENTS.md`),\n\
+         so a behaviour change cannot leave a stale number here. The output is\n\
+         identical at every `--jobs` level. `tests/golden_identity.rs` pins the\n\
+         quick suite's report lines separately; it does not read this file.\n"
     )?;
 
     // ---- Figure 1a -----------------------------------------------------
@@ -363,7 +362,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     dump(w, &matrix)?;
 
-    writeln!(w, "\n---\nGenerated in {:.0?} at scale {:?}.", t0.elapsed(), scale)?;
+    // No wall time or job count here: the file must be byte-identical
+    // across runs for the ci.sh staleness diff.
+    writeln!(
+        w,
+        "\n---\nGenerated at scale: warmup {} ns, window {} ns, max workloads {:?}.",
+        scale.warmup, scale.window, scale.max_workloads
+    )?;
     std::fs::write(&out_path, md)?;
     eprintln!("[{:6.1?}] wrote {out_path}", t0.elapsed());
     Ok(())
