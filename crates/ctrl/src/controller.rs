@@ -79,11 +79,11 @@ impl CtrlLane {
         self.drain_scratch.clear();
         // Bulk drain: a GUPS-like workload keeps every grain busy, which
         // parks hundreds of wake entries on the *same* nanosecond — a
-        // per-entry `pop_due` loop re-scans that slot chain on every pop
-        // (O(k^2) per tick). The unordered drain unlinks each chain once;
-        // the stale filter is order-independent and the bitmap walk below
-        // restores the exact serial order (ascending, deduped) without a
-        // sort, so the result is identical.
+        // per-entry `pop_due` loop would sort that slot to pop it in order.
+        // The unordered drain unlinks each chain once; the stale filter is
+        // order-independent and the bitmap walk below restores the exact
+        // serial order (ascending, deduped) without a sort, so the result
+        // is identical.
         self.due.drain_due_unordered(now, &mut self.drain_scratch);
         for i in 0..self.drain_scratch.len() {
             let (t, ch) = self.drain_scratch[i];
@@ -108,9 +108,10 @@ impl CtrlLane {
     }
 
     /// Phase B: runs the pass for every due channel against this lane's
-    /// device shard, then recomputes `next` (lazily cleaning stale wheel
-    /// tops — a valid top goes straight back; `pop_min` leaves `base` at
-    /// its time).
+    /// device shard, then recomputes `next` as the earliest wheel time
+    /// holding a valid entry, dropping the stale entries in front of it.
+    /// Which valid entry of that time is found first does not matter:
+    /// `collect_due` rebuilds ascending channel order from its bitmap.
     pub(crate) fn run_pass(
         &mut self,
         dev: &mut DevLane,
@@ -127,13 +128,14 @@ impl CtrlLane {
             }
             self.due.push(sched.next_try.max(sched.stalled_until), ch);
         }
-        self.next = loop {
-            let Some((t, ch)) = self.due.pop_min() else { break Ns::MAX };
-            if t == self.effective_next(ch) {
-                self.due.push(t, ch);
-                break t;
-            }
-        };
+        let (scheds, base_ch) = (&self.scheds, self.base_ch);
+        self.next = self
+            .due
+            .next_valid_time(|t, ch| {
+                let s = &scheds[(ch - base_ch) as usize];
+                t == s.next_try.max(s.stalled_until)
+            })
+            .unwrap_or(Ns::MAX);
     }
 }
 
