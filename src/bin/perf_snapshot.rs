@@ -7,7 +7,7 @@
 //! simulated-cycles/sec (the DRAM clock is modelled at 1 GHz, so one
 //! simulated cycle is one simulated nanosecond), and peak RSS. The file is
 //! hand-rolled JSON (this binary is registry-free, like the rest of the
-//! root package; Criterion stays quarantined in `crates/bench`).
+//! workspace).
 //!
 //! Usage:
 //!   perf-snapshot [--smoke] [--out PATH] [--warmup NS] [--window NS] [--repeat N]
